@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure and comparison table of the
-// paper's evaluation (see EXPERIMENTS.md for the recorded results):
+// paper's evaluation:
 //
 //	BenchmarkFig8  — events sent within each group vs. alive fraction
 //	BenchmarkFig9  — intergroup events vs. alive fraction

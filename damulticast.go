@@ -31,7 +31,7 @@
 // thin adapter (one hub, one subscription) so existing code compiles.
 //
 // The same protocol engine also powers the round-based simulator that
-// regenerates the paper's figures; see internal/sim and EXPERIMENTS.md.
+// regenerates the paper's figures; see internal/sim and cmd/damcsim.
 package damulticast
 
 import (

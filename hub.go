@@ -282,7 +282,7 @@ func (h *Hub) prepare(topicStr string, jc joinConfig) (*Subscription, error) {
 	sub := &Subscription{
 		hub:      h,
 		topic:    tp,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      xrand.New(seed),
 		events:   make(chan Event, eventBuf),
 		overflow: overflow,
 	}

@@ -346,5 +346,5 @@ func allIDs(nodes []*bNode) []ids.ProcessID {
 // sampleView builds a membership view for one node: up to cap distinct
 // members of pool, excluding self.
 func sampleView(rng *rand.Rand, pool []ids.ProcessID, self ids.ProcessID, cap int) []ids.ProcessID {
-	return xrand.SampleExcluding(rng, pool, cap, map[ids.ProcessID]struct{}{self: {}})
+	return xrand.SampleExcluding(rng, pool, cap, self)
 }

@@ -71,45 +71,44 @@ func (p *Process) receiveEvent(ev *Event) bool {
 // message per destination group via sendSegments: batch-capable envs
 // serialize it a single time per group, and every frame carries the
 // Dest demux of the group it is for (supergroup targets live in a
-// different group than the intra-group gossip targets).
+// different group than the intra-group gossip targets). Targets are
+// collected in pooled scratch (see fanout), so a fan-out allocates
+// only its message.
 func (p *Process) disseminate(ev *Event) {
 	r := p.env.Rand()
-	targets := p.batch[:0]
-	segs := p.segs[:0]
+	f := getFanout()
+	targets, segs := f.targets, f.segs
 
 	// (1) Upward dissemination toward the supergroup.
 	if p.superTable.Len() > 0 && xrand.Bernoulli(r, p.pSel()) {
 		pa := p.pA()
-		for _, target := range p.superTable.IDs() {
+		base := len(targets)
+		targets = p.superTable.AppendIDs(targets)
+		kept := base
+		for _, target := range targets[base:] {
 			if xrand.Bernoulli(r, pa) && target != p.id {
-				targets = append(targets, target)
+				targets[kept] = target
+				kept++
 			}
 		}
+		targets = targets[:kept]
 		segs = appendSeg(segs, p.superKnown, len(targets))
 	}
 	// (1b) Same, per declared extra supertopic (§VIII extension).
 	targets, segs = p.appendExtraTargets(r, targets, segs)
 
 	// (2) Gossip within the group: ln(S)+c distinct targets, never
-	// repeating a target for this event (the paper's Ω set).
-	k := p.fanout()
-	for _, target := range p.topicTable.Sample(r, k) {
-		if target != p.id {
-			targets = append(targets, target)
-		}
-	}
+	// repeating a target for this event (the paper's Ω set). The view
+	// never holds p itself.
+	targets = p.topicTable.AppendSample(targets, r, p.fanout())
 	segs = appendSeg(segs, p.topic, len(targets))
 
-	// Reentrancy guard: should an Env ever deliver synchronously and
-	// re-enter this process mid-fan-out, the nested disseminate must
-	// allocate its own buffer rather than scribble over the one the
-	// outer send loop is iterating. The grown buffers are kept after.
-	p.batch, p.segs = nil, nil
+	f.targets, f.segs = targets, segs
 	p.sendSegments(targets, segs, &Message{
 		Type:      MsgEvent,
 		From:      p.id,
 		FromTopic: p.topic,
 		Event:     ev,
 	})
-	p.batch, p.segs = targets[:0], segs[:0]
+	putFanout(f)
 }

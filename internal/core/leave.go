@@ -29,23 +29,23 @@ func (p *Process) Leave() {
 	if p.stopped {
 		return
 	}
-	targets := p.batch[:0]
-	segs := p.segs[:0]
-	targets = append(targets, p.topicTable.IDs()...)
+	f := getFanout()
+	targets, segs := f.targets, f.segs
+	targets = p.topicTable.AppendIDs(targets)
 	segs = appendSeg(segs, p.topic, len(targets))
-	targets = append(targets, p.superTable.IDs()...)
+	targets = p.superTable.AppendIDs(targets)
 	segs = appendSeg(segs, p.superKnown, len(targets))
 	for _, sup := range p.extraOrder {
-		targets = append(targets, p.extras[sup].IDs()...)
+		targets = p.extras[sup].AppendIDs(targets)
 		segs = appendSeg(segs, sup, len(targets))
 	}
-	p.batch, p.segs = nil, nil // reentrancy guard; see disseminate
+	f.targets, f.segs = targets, segs
 	p.sendSegments(targets, segs, &Message{
 		Type:      MsgLeave,
 		From:      p.id,
 		FromTopic: p.topic,
 	})
-	p.batch, p.segs = targets[:0], segs[:0]
+	putFanout(f)
 	p.Stop()
 }
 

@@ -297,3 +297,33 @@ func TestTickPeriodicity(t *testing.T) {
 		t.Errorf("shuffles in 9 ticks with period 3 = %d", got)
 	}
 }
+
+// TestSuperTableBeforeAdoption drives every supertopic-table path at a
+// process that has not adopted a supergroup yet, whose table and
+// liveness marks are still unallocated: nothing may panic, and the
+// first adoption must start from an empty table.
+func TestSuperTableBeforeAdoption(t *testing.T) {
+	env := newFakeEnv(1)
+	p := MustNewProcess("p0", ".a.b", maintainParams(), env)
+	p.SeedTopicTable([]ids.ProcessID{"m1"})
+
+	p.HandleMessage(&Message{Type: MsgPong, From: "s1", FromTopic: ".a"})
+	p.HandleMessage(&Message{Type: MsgLeave, From: "s1", FromTopic: ".a"})
+	p.HandleMessage(&Message{Type: MsgNewProcessAns, From: "s1", FromTopic: ".a"}) // no ContactsTopic
+	if len(p.SuperTable()) != 0 || p.SuperKnownTopic() != "" {
+		t.Fatalf("table adopted from nothing: %v %q", p.SuperTable(), p.SuperKnownTopic())
+	}
+	p.Tick() // empty table: restarts FIND_SUPER_CONTACT
+
+	p.HandleMessage(&Message{
+		Type: MsgNewProcessAns, From: "s1", FromTopic: ".a",
+		Contacts: []ids.ProcessID{"s1", "s2"}, ContactsTopic: ".a",
+	})
+	if got := p.SuperTable(); len(got) != 2 || p.SuperKnownTopic() != ".a" {
+		t.Fatalf("after adoption: %v %q", got, p.SuperKnownTopic())
+	}
+	p.HandleMessage(&Message{Type: MsgPong, From: "s2", FromTopic: ".a"})
+	if p.superSeen["s2"] != p.Now() {
+		t.Errorf("pong not recorded: %v", p.superSeen)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"damulticast/internal/ids"
 	"damulticast/internal/membership"
@@ -66,20 +67,23 @@ type Process struct {
 	// Topic table (Table_l^Ti): partial view over the group of
 	// processes interested in the same topic, maintained by the
 	// underlying membership substrate.
-	topicTable *membership.View
+	topicTable membership.View
 	gossiper   *membership.Gossiper
 
 	// Supertopic table (sTable_l^Ti): constant-size set of contacts
 	// interested in superKnown. superKnown is super(Ti) when direct
 	// superprocesses are known, otherwise the nearest supertopic that
 	// "induces" Ti for which contacts were found. Empty topic means
-	// "nothing known yet".
-	superTable *membership.View
+	// "nothing known yet", and then superTable is the zero (empty)
+	// View: adoptSuper initializes it on the first adoption.
+	superTable membership.View
 	superKnown topic.Topic
 
 	// Liveness bookkeeping for the CHECK of Fig. 6: last tick at
 	// which each supertopic-table entry proved alive, and the tick at
-	// which we last pinged it.
+	// which we last pinged it. Nil until adoptSuper initializes the
+	// table; every write is guarded by superTable.Contains, which is
+	// false until then.
 	superSeen   map[ids.ProcessID]int
 	pingStarted int // tick of the outstanding ping wave; -1 if none
 
@@ -111,13 +115,6 @@ type Process struct {
 	// batcher caches the env's optional SendBatcher implementation
 	// (one type assertion at construction, not one per event).
 	batcher SendBatcher
-	// batch is the reusable target-collection buffer for fan-outs.
-	batch []ids.ProcessID
-	// segs is the reusable destination-group segmentation of batch:
-	// fan-outs that cross group boundaries (dissemination reaching the
-	// supergroup, leave announcements) carry a different wire Dest per
-	// group, so the batch is sent one contiguous segment per group.
-	segs []groupSeg
 	// accum is the reusable multi-event coalescing accumulator for the
 	// batched dissemination paths (batch.go); nil while one is in use.
 	accum *batchAccum
@@ -166,13 +163,11 @@ func NewProcess(id ids.ProcessID, tp topic.Topic, params Params, env Env) (*Proc
 		topic:       tp,
 		params:      params,
 		env:         env,
-		topicTable:  membership.NewView(id, cap),
-		superTable:  membership.NewView(id, params.Z),
-		superSeen:   make(map[ids.ProcessID]int, params.Z),
 		seen:        ids.NewSeenSet(params.SeenCap),
 		pingStarted: -1,
 	}
-	p.gossiper = membership.NewGossiper(id, p.topicTable)
+	p.topicTable.Init(id, cap)
+	p.gossiper = membership.NewGossiper(id, &p.topicTable)
 	p.batcher, _ = env.(SendBatcher)
 	if p.recoveryEnabled() {
 		p.store = newEventStore(params.RecoverStoreCap)
@@ -180,9 +175,40 @@ func NewProcess(id ids.ProcessID, tp topic.Topic, params Params, env Env) (*Proc
 	return p, nil
 }
 
+// fanout is the scratch a fan-out collects its targets in: the target
+// list and its destination-group segmentation. Fan-outs that cross
+// group boundaries (dissemination reaching the supergroup, leave
+// announcements) carry a different wire Dest per group, so the
+// targets are sent one contiguous segment per group.
+//
+// The scratch is pooled, not owned by a process: it is only needed for
+// the duration of one fan-out, so a simulation of N processes fills
+// one buffer per worker instead of N, and a fan-out re-entered through
+// a synchronous Env simply takes a second buffer.
+type fanout struct {
+	targets []ids.ProcessID
+	segs    []groupSeg
+}
+
+var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
+
+// getFanout takes an empty fan-out scratch from the pool.
+func getFanout() *fanout {
+	f := fanoutPool.Get().(*fanout)
+	f.targets, f.segs = f.targets[:0], f.segs[:0]
+	return f
+}
+
+// putFanout returns f to the pool once its sends are done. The env
+// has not retained the target slice (see SendBatcher).
+func putFanout(f *fanout) {
+	clear(f.targets)
+	fanoutPool.Put(f)
+}
+
 // sendToAll transmits one shared message to every target, through the
-// env's batch path when it has one. Callers hand over p.batch (or any
-// scratch slice); the env must not retain it.
+// env's batch path when it has one. Callers hand over a fan-out's
+// scratch targets; the env must not retain them.
 func (p *Process) sendToAll(targets []ids.ProcessID, m *Message) {
 	if len(targets) == 0 {
 		return
@@ -347,8 +373,12 @@ func (p *Process) adoptSuper(sup topic.Topic, contacts []ids.ProcessID) {
 	switch {
 	case p.superKnown == "" || sup.Depth() > p.superKnown.Depth():
 		// Better (deeper) supergroup found: restart the table.
-		p.superTable = membership.NewView(p.id, p.params.Z)
-		p.superSeen = make(map[ids.ProcessID]int, p.params.Z)
+		p.superTable.Init(p.id, p.params.Z)
+		if p.superSeen == nil {
+			p.superSeen = make(map[ids.ProcessID]int, p.params.Z)
+		} else {
+			clear(p.superSeen)
+		}
 		p.superKnown = sup
 	case sup != p.superKnown:
 		return // shallower than what we already track

@@ -323,19 +323,14 @@ func (p *Process) doRecover() {
 	if gone := p.store.GC(p.tick, p.params.RecoverMaxAge); gone > 0 {
 		p.recoverStats.gcd.Add(uint64(gone))
 	}
-	targets := p.batch[:0]
-	for _, target := range p.topicTable.Sample(p.env.Rand(), p.params.RecoverFanout) {
-		if target != p.id {
-			targets = append(targets, target)
-		}
-	}
-	if len(targets) == 0 {
-		p.batch = targets[:0]
+	f := getFanout()
+	defer putFanout(f)
+	f.targets = p.topicTable.AppendSample(f.targets, p.env.Rand(), p.params.RecoverFanout)
+	if len(f.targets) == 0 {
 		return
 	}
 	bits, k, seed := p.buildDigest()
-	p.batch = nil // reentrancy guard; see disseminate
-	p.sendToAll(targets, &Message{
+	p.sendToAll(f.targets, &Message{
 		Type:      MsgDigest,
 		From:      p.id,
 		FromTopic: p.topic,
@@ -345,7 +340,6 @@ func (p *Process) doRecover() {
 		BloomK:    k,
 		BloomSeed: seed,
 	})
-	p.batch = targets[:0]
 }
 
 // doCrossRecover runs one cross-group wave: the same digest, sent up to

@@ -60,13 +60,8 @@ func (g *Gossiper) BuildDigest(r *rand.Rand) Digest {
 	sample := g.view.Sample(r, g.digestSize())
 	entries := make([]Entry, 0, len(sample)+1)
 	entries = append(entries, Entry{ID: g.self, Age: 0})
-	all := g.view.Entries()
-	byID := make(map[ids.ProcessID]int, len(all))
-	for _, e := range all {
-		byID[e.ID] = e.Age
-	}
 	for _, id := range sample {
-		entries = append(entries, Entry{ID: id, Age: byID[id]})
+		entries = append(entries, g.view.entries[g.view.indexOf(id)])
 	}
 	return Digest{From: g.self, Entries: entries}
 }

@@ -15,6 +15,7 @@ package membership
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,28 +33,40 @@ type Entry struct {
 
 // View is a bounded partial view over a group's members.
 //
+// A view holds (b+1)·ln(S) entries — a few dozen even for groups of
+// millions — so membership is a linear scan over the entries, not a
+// map: building a simulated process then costs one slice, allocated on
+// the first insert at the view's capacity.
+//
 // View is not goroutine-safe: each protocol process owns its views and
 // drives them from a single goroutine (or the single-threaded
 // simulator).
 type View struct {
 	capacity int
 	entries  []Entry
-	index    map[ids.ProcessID]int // id -> position in entries
-	self     ids.ProcessID         // never admitted into the view
+	self     ids.ProcessID // never admitted into the view
 }
 
 // NewView creates a view with the given capacity that will refuse to
 // contain self (a process never gossips to itself). capacity < 1 is
 // raised to 1.
 func NewView(self ids.ProcessID, capacity int) *View {
+	v := &View{}
+	v.Init(self, capacity)
+	return v
+}
+
+// Init empties v and gives it a new self and capacity, as NewView
+// does; the zero View is ready for Init. The entries' backing array is
+// kept for reuse (nothing outside the view ever aliases it).
+func (v *View) Init(self ids.ProcessID, capacity int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &View{
-		capacity: capacity,
-		index:    make(map[ids.ProcessID]int, capacity),
-		self:     self,
-	}
+	v.capacity = capacity
+	v.self = self
+	clear(v.entries)
+	v.entries = v.entries[:0]
 }
 
 // Cap returns the view capacity.
@@ -74,9 +87,22 @@ func (v *View) SetCap(capacity int) {
 func (v *View) Len() int { return len(v.entries) }
 
 // Contains reports whether id is in the view.
-func (v *View) Contains(id ids.ProcessID) bool {
-	_, ok := v.index[id]
-	return ok
+func (v *View) Contains(id ids.ProcessID) bool { return v.indexOf(id) >= 0 }
+
+// indexOf returns id's position in entries, or -1. Ids of one group
+// share a long prefix and differ at the end, so the scan tests the
+// last byte before comparing whole strings. The view never holds "".
+func (v *View) indexOf(id ids.ProcessID) int {
+	if id == "" {
+		return -1
+	}
+	last := id[len(id)-1]
+	for i := range v.entries {
+		if e := v.entries[i].ID; len(e) == len(id) && e[len(e)-1] == last && e == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Add inserts id with age 0, or refreshes its age to 0 if present.
@@ -93,7 +119,7 @@ func (v *View) AddAged(id ids.ProcessID, age int) bool {
 	if id == v.self || id == "" {
 		return false
 	}
-	if pos, ok := v.index[id]; ok {
+	if pos := v.indexOf(id); pos >= 0 {
 		if age < v.entries[pos].Age {
 			v.entries[pos].Age = age
 		}
@@ -102,7 +128,9 @@ func (v *View) AddAged(id ids.ProcessID, age int) bool {
 	if len(v.entries) >= v.capacity {
 		v.evictOldest()
 	}
-	v.index[id] = len(v.entries)
+	if v.entries == nil {
+		v.entries = make([]Entry, 0, v.capacity)
+	}
 	v.entries = append(v.entries, Entry{ID: id, Age: age})
 	return true
 }
@@ -124,32 +152,36 @@ func (v *View) evictOldest() {
 
 // Remove deletes id from the view if present, reporting whether it was.
 func (v *View) Remove(id ids.ProcessID) bool {
-	pos, ok := v.index[id]
-	if !ok {
+	pos := v.indexOf(id)
+	if pos < 0 {
 		return false
 	}
 	v.removeAt(pos)
 	return true
 }
 
+// removeAt deletes the entry at pos by moving the last entry into its
+// slot.
 func (v *View) removeAt(pos int) {
-	id := v.entries[pos].ID
 	last := len(v.entries) - 1
-	if pos != last {
-		v.entries[pos] = v.entries[last]
-		v.index[v.entries[pos].ID] = pos
-	}
+	v.entries[pos] = v.entries[last]
+	v.entries[last] = Entry{}
 	v.entries = v.entries[:last]
-	delete(v.index, id)
 }
 
 // IDs returns a fresh slice of the member ids (unspecified order).
 func (v *View) IDs() []ids.ProcessID {
-	out := make([]ids.ProcessID, len(v.entries))
-	for i, e := range v.entries {
-		out[i] = e.ID
+	return v.AppendIDs(make([]ids.ProcessID, 0, len(v.entries)))
+}
+
+// AppendIDs appends the member ids to dst, in the order IDs returns
+// them, and returns the extended slice.
+func (v *View) AppendIDs(dst []ids.ProcessID) []ids.ProcessID {
+	dst = slices.Grow(dst, len(v.entries))
+	for _, e := range v.entries {
+		dst = append(dst, e.ID)
 	}
-	return out
+	return dst
 }
 
 // SortedIDs returns the member ids sorted (for deterministic tests).
@@ -164,19 +196,36 @@ func (v *View) Entries() []Entry {
 	return out
 }
 
-// Sample returns min(k, Len) distinct random members.
+// Sample returns min(k, Len) distinct random members, drawn exactly as
+// xrand.SampleIDs(r, v.IDs(), k) draws them.
 func (v *View) Sample(r *rand.Rand, k int) []ids.ProcessID {
-	return xrand.SampleIDs(r, v.IDs(), k)
+	if k <= 0 || len(v.entries) == 0 {
+		return nil
+	}
+	return v.AppendSample(nil, r, k)
 }
 
-// SampleExcluding samples k members not present in exclude.
-func (v *View) SampleExcluding(r *rand.Rand, k int, exclude map[ids.ProcessID]struct{}) []ids.ProcessID {
-	return xrand.SampleExcluding(r, v.IDs(), k, exclude)
+// AppendSample appends Sample(r, k) to dst and returns the extended
+// slice. The sample is drawn in place in dst's tail, so a caller with
+// a reused buffer samples without allocating.
+func (v *View) AppendSample(dst []ids.ProcessID, r *rand.Rand, k int) []ids.ProcessID {
+	base := len(dst)
+	dst = v.AppendIDs(dst)
+	return dst[:base+len(xrand.SampleInPlace(r, dst[base:], k))]
+}
+
+// SampleExcluding samples k members other than the (distinct) ids in
+// exclude.
+func (v *View) SampleExcluding(r *rand.Rand, k int, exclude ...ids.ProcessID) []ids.ProcessID {
+	return xrand.SampleExcluding(r, v.IDs(), k, exclude...)
 }
 
 // Pick returns one random member, or false if the view is empty.
 func (v *View) Pick(r *rand.Rand) (ids.ProcessID, bool) {
-	return xrand.Pick(r, v.IDs())
+	if len(v.entries) == 0 {
+		return "", false
+	}
+	return v.entries[r.Intn(len(v.entries))].ID, true
 }
 
 // AgeAll increments every entry's age by one. Called once per

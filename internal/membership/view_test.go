@@ -199,8 +199,7 @@ func TestSampleAndPick(t *testing.T) {
 	if len(s) != 3 {
 		t.Errorf("Sample len = %d", len(s))
 	}
-	excl := map[ids.ProcessID]struct{}{"a": {}, "b": {}, "c": {}}
-	s = v.SampleExcluding(r, 5, excl)
+	s = v.SampleExcluding(r, 5, "a", "b", "c")
 	if len(s) != 2 {
 		t.Errorf("SampleExcluding len = %d", len(s))
 	}

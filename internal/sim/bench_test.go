@@ -63,6 +63,40 @@ func BenchmarkScenarioChurn20k(b *testing.B) {
 	b.ReportMetric(rel/float64(b.N), "delivery")
 }
 
+// BenchmarkNewRunnerPaper is the set-up layer of one paper-figure run:
+// building the 1,110-process §VII-A topology with its per-process
+// streams and statically seeded tables.
+func BenchmarkNewRunnerPaper(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := PaperConfig(1, 1)
+		cfg.Workers = 1
+		if _, err := NewRunner(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunPaper is the dissemination layer of the same run: one
+// publication driven to quiescence on a freshly built runner (the
+// build itself is not timed).
+func BenchmarkRunPaper(b *testing.B) {
+	b.ReportAllocs()
+	cfg := PaperConfig(1, 1)
+	cfg.Workers = 1
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, err := NewRunner(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := r.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSharded20kCompletes is the scaled-kernel acceptance gate: a
 // 20,000-process single-topic dissemination must complete on the
 // sharded kernel and reach the overwhelming majority of the group.

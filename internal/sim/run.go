@@ -111,7 +111,6 @@ type Runner struct {
 	net     *simnet.Network
 	reg     *metrics.Registry
 	groups  map[topic.Topic][]*core.Process
-	byID    map[ids.ProcessID]*core.Process
 	topicOf map[ids.ProcessID]topic.Topic
 	overlay []ids.ProcessID
 	envs    []*nodeEnv // insertion order, for deterministic delivery flush
@@ -134,13 +133,18 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	total := 0
+	for _, g := range cfg.Groups {
+		total += g.Size
+	}
 	r := &Runner{
 		cfg:        cfg,
 		net:        simnet.New(cfg.Seed),
 		reg:        metrics.NewRegistry(),
 		groups:     make(map[topic.Topic][]*core.Process, len(cfg.Groups)),
-		byID:       make(map[ids.ProcessID]*core.Process),
-		topicOf:    make(map[ids.ProcessID]topic.Topic),
+		topicOf:    make(map[ids.ProcessID]topic.Topic, total),
+		overlay:    make([]ids.ProcessID, 0, total),
+		envs:       make([]*nodeEnv, 0, total),
 		received:   make(map[ids.EventID]map[ids.ProcessID]bool),
 		firstRound: make(map[topic.Topic]int),
 	}
@@ -158,6 +162,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	for _, g := range cfg.Groups {
 		params := cfg.Params
 		params.GroupSizeHint = g.Size
+		r.groups[g.Topic] = make([]*core.Process, 0, g.Size)
 		for i := 0; i < g.Size; i++ {
 			id := ids.Indexed(string(g.Topic), i)
 			env := &nodeEnv{
@@ -171,7 +176,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 				return nil, err
 			}
 			r.groups[g.Topic] = append(r.groups[g.Topic], proc)
-			r.byID[id] = proc
 			r.topicOf[id] = g.Topic
 			r.overlay = append(r.overlay, id)
 			r.envs = append(r.envs, env)
@@ -242,7 +246,7 @@ func (r *Runner) nearestSupergroup(t topic.Topic) (topic.Topic, []ids.ProcessID)
 
 // sampleOthers samples up to k ids from pool excluding self.
 func sampleOthers(rng *rand.Rand, pool []ids.ProcessID, self ids.ProcessID, k int) []ids.ProcessID {
-	return xrand.SampleExcluding(rng, pool, k, map[ids.ProcessID]struct{}{self: {}})
+	return xrand.SampleExcluding(rng, pool, k, self)
 }
 
 // installStillborn fails floor((1-alive)·S) processes per group at

@@ -27,7 +27,7 @@
 //   - per-pair failure appearances (SetPairDown) and link filters
 //     (SetLinkDown) must be pure functions — PairDownCoin builds one
 //     from a stateless hash;
-//   - sends buffer into per-sender outboxes during the phase and merge
+//   - sends buffer into per-shard outboxes during the phase and merge
 //     into the next round's queue in a canonical order, sorted by
 //     (From, To, Seq), after all shards join. OnSend observers fire
 //     serially during the merge, in that same canonical order.
@@ -89,37 +89,79 @@ var (
 // send time (from the sender's deterministic streams) and carried to
 // the serial merge, where OnSend observes it in canonical order. delay
 // is the number of extra rounds (beyond the normal next-round delivery)
-// the link keeps the message in flight.
+// the link keeps the message in flight. rank is the sender's position
+// in ascending-id order — the first key of the canonical order, and
+// how the merge recovers the sender's id.
 type pendingSend struct {
-	env     Envelope
+	to      ids.ProcessID
+	seq     uint64
+	msg     any
+	rank    int32
+	delay   int32
 	dropped bool
-	delay   int
 }
 
-// senderCtx is the kernel's per-sender state: the outbox buffered
-// during a parallel phase, the monotonic send counter, and the loss
-// stream. Each ctx is only ever touched by the goroutine currently
-// running its node (or the serial driver), so no locking is needed.
-// The outbox slice is recycled across rounds ([:0] after each merge).
-type senderCtx struct {
-	id   ids.ProcessID
-	out  []pendingSend
-	seq  uint64
-	loss *rand.Rand
+// peer is the kernel's state for one known id — a registered node, a
+// sender that is not one (a test driver injecting traffic), or both —
+// so that sending and delivering cost one map lookup per end. A node
+// has its insertion index (which places it in a shard) and its crash
+// mark; a sender has its monotonic send counter, its loss stream
+// (created on the first loss coin) and its rank in ascending-id order.
+// Each peer is only ever written by the goroutine currently running
+// its node, or serially between rounds, so no locking is needed.
+type peer struct {
+	id    ids.ProcessID
+	node  Node // nil for a sender that is not a node
+	index int  // insertion index; -1 for a sender that is not a node
+	down  bool
+	rank  int32
+	seq   uint64
+	loss  *rand.Rand
 }
+
+// shard is one worker's round state. Every buffer is recycled across
+// rounds (and, through scratchPool, across networks), so it is
+// allocated only while it grows to the largest round.
+type shard struct {
+	// in is this round's deliveries to the shard's nodes, in canonical
+	// order (unused with one shard, which delivers the batch itself).
+	in []Envelope
+	// out collects the sends the shard's nodes make during the phase,
+	// in send order; after the phase, order lists out's indexes in
+	// canonical order (the sends themselves never move).
+	out   []pendingSend
+	order []int32
+	// count is the sort's per-rank scratch.
+	count     []int
+	delivered int
+}
+
+// roundScratch is a network's recycled round state: the spare buffer
+// that double-buffers with the delivery queue, the shards' buffers and
+// the merge's read positions. A network that quiesces hands its
+// scratch, its emptied queue buffer included, to scratchPool and takes
+// one back on its next Step. The runs of a sweep, each a fresh
+// Network, thereby reuse the buffers earlier runs grew instead of
+// growing their own.
+type roundScratch struct {
+	queue, spare []Envelope
+	shards       []shard
+	heads        []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
 
 // Network is the simulation kernel.
 type Network struct {
 	seed  int64
 	rng   *rand.Rand
-	nodes map[ids.ProcessID]Node
-	order []ids.ProcessID       // insertion order, for deterministic iteration
-	index map[ids.ProcessID]int // id -> insertion index (shard assignment)
-	ctx   map[ids.ProcessID]*senderCtx
+	peers map[ids.ProcessID]*peer
+	nodes []*peer // insertion order, for deterministic iteration
 
 	queue    []Envelope // deliveries for the next round, canonical order
 	round    int
 	stepping bool // inside a parallel phase: Sends buffer to outboxes
+	block    int  // during a phase: nodes per shard (see shardOf)
 
 	// delayed holds messages kept in flight by the link-delay function,
 	// keyed by delivery round. Allocated lazily: runs without delays
@@ -129,20 +171,18 @@ type Network struct {
 	// sends first.
 	delayed map[int][]Envelope
 
-	// senders lists every sender context in ascending id order — the
-	// concatenation order of the round merge. sendersDirty marks it
-	// stale after new ctxs appear (only legal between rounds); the next
-	// Step re-sorts it once instead of paying an ordered insert per add.
-	senders      []*senderCtx
+	// senders lists every peer in ascending id order — the order of
+	// the round merge, and the source of each peer's rank.
+	// sendersDirty marks it stale after new peers appear (only legal
+	// between rounds); the next Step re-sorts it once instead of paying
+	// an ordered insert per add.
+	senders      []*peer
 	sendersDirty bool
 
-	// Recycled per-Step scratch (the kernel's rounds are allocation-free
-	// at steady state): the destination-shard partitions, the per-shard
-	// delivery counters, and the spare queue buffer that double-buffers
-	// with queue across rounds.
-	perShard   [][]Envelope
-	delivered  []int
-	queueSpare []Envelope
+	// scratch is the recycled per-Step state (the kernel's rounds are
+	// allocation-free at steady state); nil while the network is
+	// quiescent and has lent it out (see roundScratch).
+	scratch *roundScratch
 
 	// PSucc is the per-message channel success probability (1 = lossless).
 	PSucc float64
@@ -154,8 +194,6 @@ type Network struct {
 	// round phase inline (the sequential kernel). Results are identical
 	// for every value.
 	Workers int
-
-	down map[ids.ProcessID]bool
 
 	// pairDown, when non-nil, implements the weakly consistent model:
 	// pairDown(observer, target) reports whether target appears failed
@@ -190,11 +228,8 @@ type Network struct {
 func New(seed int64) *Network {
 	return &Network{
 		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-		nodes: make(map[ids.ProcessID]Node),
-		index: make(map[ids.ProcessID]int),
-		ctx:   make(map[ids.ProcessID]*senderCtx),
-		down:  make(map[ids.ProcessID]bool),
+		rng:   xrand.New(seed),
+		peers: make(map[ids.ProcessID]*peer),
 		PSucc: 1,
 	}
 }
@@ -214,70 +249,92 @@ func (n *Network) Round() int { return n.round }
 // AddNode registers a node.
 func (n *Network) AddNode(node Node) error {
 	id := node.ID()
-	if _, dup := n.nodes[id]; dup {
+	pr := n.peerFor(id)
+	if pr.node != nil {
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, id)
 	}
-	n.nodes[id] = node
-	n.index[id] = len(n.order)
-	n.order = append(n.order, id)
-	n.newSenderCtx(id)
+	pr.node, pr.index = node, len(n.nodes)
+	n.nodes = append(n.nodes, pr)
 	return nil
 }
 
-// newSenderCtx returns the per-sender state for id, creating and
-// registering it on first sight. Reusing an existing ctx matters for
-// ids that sent before being registered as nodes (senderCtxFor): their
-// Seq counter must keep climbing, never restart — the merge order
-// relies on (From, Seq) uniqueness — and n.senders must list each
-// sender exactly once.
-func (n *Network) newSenderCtx(id ids.ProcessID) *senderCtx {
-	if c, ok := n.ctx[id]; ok {
-		return c
+// peerFor returns the state for id, creating and registering it on
+// first sight. Reusing an existing peer matters for ids that sent
+// before being registered as nodes: their Seq counter must keep
+// climbing, never restart — the merge order relies on (From, Seq)
+// uniqueness — and n.senders must list each sender exactly once.
+// Creating a peer is only legal between rounds.
+func (n *Network) peerFor(id ids.ProcessID) *peer {
+	if pr, ok := n.peers[id]; ok {
+		return pr
 	}
-	c := &senderCtx{id: id, loss: xrand.NewStream(n.seed, "loss:"+string(id))}
-	n.ctx[id] = c
-	n.senders = append(n.senders, c)
+	pr := &peer{id: id, index: -1}
+	n.peers[id] = pr
+	n.senders = append(n.senders, pr)
 	n.sendersDirty = true
-	return c
+	return pr
+}
+
+// node returns the registered node's state, or nil.
+func (n *Network) node(id ids.ProcessID) *peer {
+	if pr := n.peers[id]; pr != nil && pr.node != nil {
+		return pr
+	}
+	return nil
 }
 
 // Node returns the registered node, or nil.
-func (n *Network) Node(id ids.ProcessID) Node { return n.nodes[id] }
+func (n *Network) Node(id ids.ProcessID) Node {
+	if pr := n.node(id); pr != nil {
+		return pr.node
+	}
+	return nil
+}
 
 // NodeIDs returns all node ids in insertion order (copy).
 func (n *Network) NodeIDs() []ids.ProcessID {
-	out := make([]ids.ProcessID, len(n.order))
-	copy(out, n.order)
+	out := make([]ids.ProcessID, len(n.nodes))
+	for i, pr := range n.nodes {
+		out[i] = pr.id
+	}
 	return out
 }
 
 // Len returns the number of nodes.
-func (n *Network) Len() int { return len(n.order) }
+func (n *Network) Len() int { return len(n.nodes) }
 
 // Crash marks a node failed for everyone (stillborn when applied
 // before the first round). Crashed nodes neither receive nor should
 // send; sends they nevertheless attempt are delivered (the kernel does
 // not police senders — protocol-level Stop should silence them).
 func (n *Network) Crash(id ids.ProcessID) error {
-	if _, ok := n.nodes[id]; !ok {
+	pr := n.node(id)
+	if pr == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, id)
 	}
-	n.down[id] = true
+	pr.down = true
 	return nil
 }
 
 // Recover clears the crashed mark.
-func (n *Network) Recover(id ids.ProcessID) { delete(n.down, id) }
+func (n *Network) Recover(id ids.ProcessID) {
+	if pr := n.peers[id]; pr != nil {
+		pr.down = false
+	}
+}
 
 // Down reports whether id is crashed.
-func (n *Network) Down(id ids.ProcessID) bool { return n.down[id] }
+func (n *Network) Down(id ids.ProcessID) bool {
+	pr := n.peers[id]
+	return pr != nil && pr.down
+}
 
 // AliveIDs returns ids of nodes not crashed, in insertion order.
 func (n *Network) AliveIDs() []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, len(n.order))
-	for _, id := range n.order {
-		if !n.down[id] {
-			out = append(out, id)
+	out := make([]ids.ProcessID, 0, len(n.nodes))
+	for _, pr := range n.nodes {
+		if !pr.down {
+			out = append(out, pr.id)
 		}
 	}
 	return out
@@ -308,38 +365,27 @@ func (n *Network) SetLinkDelay(f func(from, to ids.ProcessID, seq uint64) int) {
 	n.linkDelay = f
 }
 
-// senderCtxFor returns the per-sender context, creating one for
-// senders that are not registered nodes (test drivers injecting
-// traffic). Unregistered-sender creation is only legal between rounds.
-func (n *Network) senderCtxFor(from ids.ProcessID) *senderCtx {
-	if c, ok := n.ctx[from]; ok {
-		return c
-	}
-	return n.newSenderCtx(from)
-}
-
 // Send enqueues a message for delivery next round. Loss is decided at
 // send time: the channel may drop it (1-PSucc, from the sender's loss
 // stream), the target may be crashed, the link may be severed, or the
 // target may appear failed to the sender under the weakly consistent
 // model. OnSend observes the attempt either way.
 //
-// During a round phase, Send buffers into the sender's outbox and the
-// caller must pass the handling node's own id as from. Between rounds,
-// Send resolves immediately into the queue.
+// During a round phase, Send buffers into the sender's shard's outbox
+// and the caller must pass the handling node's own id as from. Between
+// rounds, Send resolves immediately into the queue.
 func (n *Network) Send(from, to ids.ProcessID, msg any) {
-	c := n.senderCtxFor(from)
+	c := n.peerFor(from)
 	c.seq++
-	env := Envelope{From: from, To: to, Seq: c.seq, Msg: msg}
 	dropped := false
 	switch {
-	case n.down[to]:
+	case n.Down(to):
 		dropped = true
 	case n.pairDown != nil && n.pairDown(from, to):
 		dropped = true
 	case n.linkDown != nil && n.linkDown(from, to):
 		dropped = true
-	case n.PSucc < 1 && c.loss.Float64() >= n.PSucc:
+	case n.PSucc < 1 && n.lossCoin(c) >= n.PSucc:
 		dropped = true
 	}
 	delay := 0
@@ -349,9 +395,11 @@ func (n *Network) Send(from, to ids.ProcessID, msg any) {
 		}
 	}
 	if n.stepping {
-		c.out = append(c.out, pendingSend{env: env, dropped: dropped, delay: delay})
+		sh := &n.scratch.shards[shardOf(c.index, n.block)]
+		sh.out = append(sh.out, pendingSend{to: to, seq: c.seq, msg: msg, rank: c.rank, delay: int32(delay), dropped: dropped})
 		return
 	}
+	env := Envelope{From: from, To: to, Seq: c.seq, Msg: msg}
 	if n.OnSend != nil {
 		n.OnSend(env, dropped)
 	}
@@ -363,6 +411,16 @@ func (n *Network) Send(from, to ids.ProcessID, msg any) {
 		return
 	}
 	n.queue = append(n.queue, env)
+}
+
+// lossCoin draws the sender's next channel-loss coin from its own
+// stream, created on the first draw: a run builds loss streams only
+// for the ids that send over a lossy channel.
+func (n *Network) lossCoin(c *peer) float64 {
+	if c.loss == nil {
+		c.loss = xrand.NewStream(n.seed, "loss:"+string(c.id))
+	}
+	return c.loss.Float64()
 }
 
 // holdDelayed parks a send in the delayed bucket for its delivery
@@ -391,8 +449,8 @@ func (n *Network) workers() int {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	if p > len(n.order) {
-		p = len(n.order)
+	if p > len(n.nodes) {
+		p = len(n.nodes)
 	}
 	if p < 1 {
 		p = 1
@@ -417,37 +475,92 @@ func shardBlock(n, p int) int { return (n + p - 1) / p }
 // compareOutbox orders one sender's buffered sends by (To, Seq) — the
 // canonical order with From fixed. Seq never repeats within a sender,
 // so the order is total (no stability requirement on the sort).
-func compareOutbox(a, b pendingSend) int {
-	if c := strings.Compare(string(a.env.To), string(b.env.To)); c != 0 {
+func compareOutbox(a, b *pendingSend) int {
+	if c := strings.Compare(string(a.to), string(b.to)); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.env.Seq, b.env.Seq)
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// sortOut fills order with the shard's sends in canonical (From, To,
+// Seq) order: a counting sort by sender rank, stable, so each sender's
+// sends stay contiguous and in Seq order, then a (To, Seq) sort of
+// each sender's run. Linear in the sends plus the sender count; the
+// per-sender sorts are as small as the fan-outs, and only 4-byte
+// indexes move.
+func (sh *shard) sortOut(senders int) {
+	out := sh.out
+	if len(out) == 0 {
+		sh.order = sh.order[:0]
+		return
+	}
+	if cap(sh.count) < senders+1 {
+		sh.count = make([]int, senders+1)
+	}
+	count := sh.count[:senders+1]
+	clear(count)
+	for i := range out {
+		count[out[i].rank+1]++
+	}
+	for r := 1; r < len(count); r++ {
+		count[r] += count[r-1]
+	}
+	order := slices.Grow(sh.order[:0], len(out))[:len(out)]
+	for i := range out {
+		r := out[i].rank
+		order[count[r]] = int32(i)
+		count[r]++
+	}
+	byToSeq := func(a, b int32) int { return compareOutbox(&out[a], &out[b]) }
+	for lo := 0; lo < len(order); {
+		hi, r := lo+1, out[order[lo]].rank
+		for hi < len(order) && out[order[hi]].rank == r {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], byToSeq)
+		}
+		lo = hi
+	}
+	sh.order = order
 }
 
 // Step runs one synchronous round: deliver everything queued (sends
 // performed during delivery land in the following round), then tick
 // nodes if TickNodes is set. The delivery/tick phase runs across
-// Workers shards concurrently; each shard then sorts its own nodes'
-// outboxes by (To, Seq) while still parallel, and the serial tail
-// merely concatenates senders in ascending-From order — reproducing
+// Workers shards concurrently, each buffering its nodes' sends in one
+// outbox and sorting it into canonical order while still parallel; the
+// serial tail merges the shards' outboxes by sender rank — reproducing
 // the exact canonical (From, To, Seq) order of a global sort without
-// one. All round buffers (shard partitions, outboxes, the queue) are
+// one. All round buffers (shard inboxes and outboxes, the queue) are
 // recycled, so steady-state rounds allocate nothing. It returns the
 // number of messages delivered.
 func (n *Network) Step() int {
 	n.round++
 	p := n.workers()
 	if n.sendersDirty {
-		slices.SortFunc(n.senders, func(a, b *senderCtx) int {
+		slices.SortFunc(n.senders, func(a, b *peer) int {
 			return strings.Compare(string(a.id), string(b.id))
 		})
+		for r, c := range n.senders {
+			c.rank = int32(r)
+		}
 		n.sendersDirty = false
+	}
+
+	sc := n.scratch
+	if sc == nil {
+		// Sends made while the network was quiescent move into the
+		// pooled queue buffer.
+		sc = scratchPool.Get().(*roundScratch)
+		sc.queue = append(sc.queue[:0], n.queue...)
+		n.queue, n.scratch = sc.queue, sc
 	}
 
 	// Double-buffer the delivery queue: this round's batch becomes the
 	// spare that next round's queue is rebuilt into.
 	batch := n.queue
-	n.queue = n.queueSpare[:0]
+	n.queue = sc.spare[:0]
 
 	// Straggler sends whose delay expires this round deliver ahead of
 	// the regular queue — they are the older sends. The merged slice
@@ -464,66 +577,57 @@ func (n *Network) Step() int {
 		delete(n.delayed, n.round)
 	}
 
-	// Partition the batch by destination shard, preserving canonical
-	// order within each shard, into the recycled partition buffers.
-	if cap(n.perShard) < p {
-		n.perShard = make([][]Envelope, p)
+	if cap(sc.shards) < p {
+		sc.shards = make([]shard, p)
 	}
-	perShard := n.perShard[:p]
-	for s := range perShard {
-		perShard[s] = perShard[s][:0]
-	}
-	block := shardBlock(len(n.order), p)
-	for _, env := range batch {
-		idx, ok := n.index[env.To]
-		if !ok {
-			continue // unknown target: silently dropped
-		}
-		s := shardOf(idx, block)
-		perShard[s] = append(perShard[s], env)
-	}
-	n.perShard = perShard
-	clear(batch) // drop Msg references: recycled capacity must not pin message graphs
-	n.queueSpare = batch[:0]
+	shards := sc.shards[:p]
+	sc.shards = shards
+	block := shardBlock(len(n.nodes), p)
 
-	if cap(n.delivered) < p {
-		n.delivered = make([]int, p)
-	}
-	delivered := n.delivered[:p]
-	for s := range delivered {
-		delivered[s] = 0
-	}
-
-	n.stepping = true
-	runShard := func(s int) {
-		lo := s * block
-		hi := lo + block
-		if hi > len(n.order) {
-			hi = len(n.order)
-		}
-		for _, env := range perShard[s] {
-			if n.down[env.To] {
-				continue
+	// With several shards, partition the batch by destination shard,
+	// preserving canonical order within each shard, into the recycled
+	// inboxes. A single shard delivers the batch as it is.
+	if p > 1 {
+		for _, env := range batch {
+			to := n.node(env.To)
+			if to == nil {
+				continue // unknown target: silently dropped
 			}
-			n.nodes[env.To].HandleMessage(env.Msg)
-			delivered[s]++
+			sh := &shards[shardOf(to.index, block)]
+			sh.in = append(sh.in, env)
+		}
+	}
+
+	n.stepping, n.block = true, block
+	runShard := func(s int) {
+		sh := &shards[s]
+		in := sh.in
+		if p == 1 {
+			in = batch
+		}
+		sh.delivered = 0
+		for _, env := range in {
+			to := n.node(env.To)
+			if to == nil || to.down {
+				continue // unknown targets are silently dropped
+			}
+			to.node.HandleMessage(env.Msg)
+			sh.delivered++
 		}
 		if n.TickNodes {
-			for i := lo; i < hi; i++ {
-				if id := n.order[i]; !n.down[id] {
-					n.nodes[id].Tick()
+			// With ceiling-sized slabs a trailing shard may own none.
+			lo := min(s*block, len(n.nodes))
+			hi := min(lo+block, len(n.nodes))
+			for _, pr := range n.nodes[lo:hi] {
+				if !pr.down {
+					pr.node.Tick()
 				}
 			}
 		}
-		// Sort this shard's outboxes while the other shards are still
-		// busy: each sender ctx is owned by exactly one shard, so the
-		// per-sender sorts need no coordination and the serial merge
-		// below degenerates to a concatenation.
-		for i := lo; i < hi; i++ {
-			if c := n.ctx[n.order[i]]; len(c.out) > 1 {
-				slices.SortFunc(c.out, compareOutbox)
-			}
-		}
+		// Sort this shard's outbox while the other shards are still
+		// busy: each sender belongs to exactly one shard, so the serial
+		// merge below only interleaves whole per-sender runs.
+		sh.sortOut(len(n.senders))
 	}
 	if p == 1 {
 		runShard(0)
@@ -540,44 +644,71 @@ func (n *Network) Step() int {
 	}
 	n.stepping = false
 
-	// Serial merge: senders in ascending-From order, each outbox
-	// already (To, Seq)-sorted. Observers fire in canonical order; the
-	// queue is appended in place.
-	for _, c := range n.senders {
-		if len(c.out) == 0 {
-			continue
+	// Release this round's delivered envelopes: recycled capacity must
+	// not pin message graphs.
+	clear(batch)
+	sc.spare = batch[:0]
+	total, sends := 0, 0
+	for s := range shards {
+		sh := &shards[s]
+		clear(sh.in)
+		sh.in = sh.in[:0]
+		total += sh.delivered
+		sends += len(sh.out)
+	}
+
+	// Serial merge: senders in ascending rank (= From) order, each
+	// sender's run already (To, Seq)-sorted in its shard's order.
+	// Observers fire in canonical order; the queue, sized once for the
+	// round, is appended in place.
+	n.queue = slices.Grow(n.queue, sends)
+	if cap(sc.heads) < p {
+		sc.heads = make([]int, p)
+	}
+	heads := sc.heads[:p]
+	clear(heads)
+	for {
+		best, rank := -1, int32(0)
+		for s := range shards {
+			sh := &shards[s]
+			if h := heads[s]; h < len(sh.order) && (best < 0 || sh.out[sh.order[h]].rank < rank) {
+				best, rank = s, sh.out[sh.order[h]].rank
+			}
 		}
-		for i := range c.out {
-			ps := &c.out[i]
+		if best < 0 {
+			break
+		}
+		sh := &shards[best]
+		from := n.senders[rank].id
+		i := heads[best]
+		for ; i < len(sh.order) && sh.out[sh.order[i]].rank == rank; i++ {
+			ps := &sh.out[sh.order[i]]
+			env := Envelope{From: from, To: ps.to, Seq: ps.seq, Msg: ps.msg}
 			if n.OnSend != nil {
-				n.OnSend(ps.env, ps.dropped)
+				n.OnSend(env, ps.dropped)
 			}
 			if ps.dropped {
 				continue
 			}
 			if ps.delay > 0 {
-				n.holdDelayed(ps.env, ps.delay)
+				n.holdDelayed(env, int(ps.delay))
 				continue
 			}
-			n.queue = append(n.queue, ps.env)
+			n.queue = append(n.queue, env)
 		}
-		clear(c.out)
-		c.out = c.out[:0]
+		heads[best] = i
+	}
+	for s := range shards {
+		clear(shards[s].out)
+		shards[s].out = shards[s].out[:0]
 	}
 
-	// Likewise release this round's delivered envelopes from the shard
-	// partitions; the capacity stays for the next round.
-	for s := range perShard {
-		clear(perShard[s])
-		perShard[s] = perShard[s][:0]
-	}
-
-	total := 0
-	for _, d := range delivered {
-		total += d
-	}
 	if n.OnRoundEnd != nil {
 		n.OnRoundEnd(n.round)
+	}
+	if n.Pending() == 0 {
+		sc.queue, n.queue, n.scratch = n.queue[:0], nil, nil
+		scratchPool.Put(sc)
 	}
 	return total
 }

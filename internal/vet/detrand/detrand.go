@@ -3,7 +3,8 @@
 // for any Workers count and figure CSVs byte-identical for any
 // -sweepworkers value (ROADMAP, standing contracts). Inside the
 // contract packages that means no wall-clock reads, no global
-// math/rand state, and no result-affecting writes made in map
+// math/rand state, no seeded source built outside xrand (so every
+// stream has one home), and no result-affecting writes made in map
 // iteration order.
 package detrand
 
@@ -32,8 +33,8 @@ var contractPackages = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "flags nondeterminism sources in determinism-contract packages: " +
-		"time.Now/Since/Until, global math/rand state, and map iteration " +
-		"with iteration-order-dependent writes",
+		"time.Now/Since/Until, global math/rand state, rand.NewSource " +
+		"outside xrand, and map iteration with iteration-order-dependent writes",
 	AppliesTo: func(pkgPath string) bool { return contractPackages[pkgPath] },
 	Run:       run,
 }
@@ -56,10 +57,11 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkCalls flags wall-clock reads and global math/rand use. Methods
-// on a seeded *rand.Rand are the supported idiom and stay clean; only
-// the package-level functions (shared process-global state, seeded
-// from the clock) are findings.
+// checkCalls flags wall-clock reads, global math/rand use and
+// rand.NewSource. Methods on a seeded *rand.Rand are the supported
+// idiom and stay clean; the package-level functions (shared
+// process-global state, seeded from the clock) are findings, and so is
+// building a source by hand instead of through xrand.New.
 func checkCalls(pass *analysis.Pass, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -80,6 +82,10 @@ func checkCalls(pass *analysis.Pass, f *ast.File) {
 				pass.Reportf(call.Pos(), "time.%s in determinism-contract package %s: results must not depend on the wall clock (derive from round/tick counters, or annotate //damcvet:allow detrand(reason))", fn.Name(), pass.Pkg.Path())
 			}
 		case "math/rand", "math/rand/v2":
+			if fn.Pkg().Path() == "math/rand" && fn.Name() == "NewSource" {
+				pass.Reportf(call.Pos(), "rand.NewSource in determinism-contract package %s: seeded streams have one home; use xrand.New/xrand.NewStream (bit-identical, seeded lazily) or annotate //damcvet:allow detrand(reason)", pass.Pkg.Path())
+				return true
+			}
 			if strings.HasPrefix(fn.Name(), "New") {
 				return true // explicit-seed constructors are the supported idiom
 			}

@@ -1,5 +1,6 @@
 // Package detrandbad holds detrand true positives: wall-clock reads,
-// global math/rand draws, and order-dependent map iteration.
+// global math/rand draws, hand-built seeded sources, and
+// order-dependent map iteration.
 package detrandbad
 
 import (
@@ -16,6 +17,11 @@ func wallClock() time.Duration {
 func globalRand() int {
 	rand.Shuffle(3, func(i, j int) {}) // want `global math/rand\.Shuffle`
 	return rand.Intn(10)               // want `global math/rand\.Intn`
+}
+
+func ownSource(seed int64) int {
+	rng := rand.New(rand.NewSource(seed)) // want `rand\.NewSource in determinism-contract package`
+	return rng.Intn(10)
 }
 
 func lastWriterWins(m map[string]int) string {

@@ -1,6 +1,6 @@
-// Package detrandclean holds code detrand must accept: seeded rand
-// streams, order-independent map iteration, the sorted-keys idiom, and
-// the //damcvet:allow escape hatch.
+// Package detrandclean holds code detrand must accept: rand streams
+// over a supplied source, order-independent map iteration, the
+// sorted-keys idiom, and the //damcvet:allow escape hatch.
 package detrandclean
 
 import (
@@ -9,10 +9,11 @@ import (
 	"time"
 )
 
-// seededStream draws from an explicit seeded generator — the supported
-// idiom, never flagged.
-func seededStream(seed int64) int {
-	rng := rand.New(rand.NewSource(seed))
+// seededStream draws from an explicit generator over a source it is
+// handed (in the contract packages, xrand builds sources) — the
+// supported idiom, never flagged.
+func seededStream(src rand.Source) int {
+	rng := rand.New(src)
 	return rng.Intn(10)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"damulticast/internal/ids"
@@ -133,18 +134,15 @@ func TestSampleIDsSparsePath(t *testing.T) {
 func TestSampleExcludingSparsePath(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	pool := bigPool(10000)
-	exclude := map[ids.ProcessID]struct{}{}
-	for i := 0; i < 50; i++ {
-		exclude[pool[i]] = struct{}{}
-	}
+	exclude := pool[:50]
 	for trial := 0; trial < 100; trial++ {
-		got := SampleExcluding(r, pool, 30, exclude)
+		got := SampleExcluding(r, pool, 30, exclude...)
 		if len(got) != 30 {
 			t.Fatalf("len = %d", len(got))
 		}
 		seen := map[ids.ProcessID]bool{}
 		for _, id := range got {
-			if _, skip := exclude[id]; skip {
+			if slices.Contains(exclude, id) {
 				t.Fatalf("excluded id %s sampled", id)
 			}
 			if seen[id] {
@@ -165,7 +163,7 @@ func TestSampleExcludingSparseFallback(t *testing.T) {
 	}
 	pool[137] = "rare"
 	r := rand.New(rand.NewSource(3))
-	got := SampleExcluding(r, pool, 1, map[ids.ProcessID]struct{}{"dup": {}})
+	got := SampleExcluding(r, pool, 1, "dup")
 	if len(got) != 1 || got[0] != "rare" {
 		t.Errorf("got %v, want [rare]", got)
 	}

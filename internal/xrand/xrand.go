@@ -10,6 +10,7 @@ package xrand
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"damulticast/internal/ids"
 )
@@ -38,10 +39,19 @@ func SeedFor(base int64, label string) int64 {
 	return int64(h & 0x7fffffffffffffff)
 }
 
+// New returns a deterministic random stream that yields exactly what
+// rand.New(rand.NewSource(seed)) yields, through every method, but
+// whose source does no seeding work until it is drawn from (see
+// lazySource). It is the one constructor for seeded streams: the
+// determinism-contract packages may not call rand.NewSource.
+func New(seed int64) *rand.Rand {
+	return rand.New(newSource(seed))
+}
+
 // NewStream returns a fresh deterministic random stream for the given
 // base seed and label (see SeedFor).
 func NewStream(base int64, label string) *rand.Rand {
-	return rand.New(rand.NewSource(SeedFor(base, label)))
+	return New(SeedFor(base, label))
 }
 
 // HashCoin is a pure Bernoulli trial: it returns true with probability
@@ -85,54 +95,98 @@ func SampleIDs(r *rand.Rand, pool []ids.ProcessID, k int) []ids.ProcessID {
 	if k <= 0 || len(pool) == 0 {
 		return nil
 	}
-	if k >= len(pool) {
-		out := make([]ids.ProcessID, len(pool))
-		copy(out, pool)
-		Shuffle(r, out)
-		return out
-	}
 	if k*8 < len(pool) {
-		// Sparse sample: virtual Fisher-Yates with a displacement map,
-		// O(k) time and space. Building tables for simulations with
-		// tens of thousands of processes calls this once per process;
-		// the dense path's O(len(pool)) index copy would make setup
-		// quadratic in the population.
-		swapped := make(map[int]int, k)
-		out := make([]ids.ProcessID, 0, k)
-		for i := 0; i < k; i++ {
-			j := i + r.Intn(len(pool)-i)
-			vj, ok := swapped[j]
-			if !ok {
-				vj = j
-			}
-			vi, ok := swapped[i]
-			if !ok {
-				vi = i
-			}
-			swapped[j] = vi
-			out = append(out, pool[vj])
-		}
-		return out
+		return sampleSparse(r, pool, k)
 	}
-	// Dense sample: partial Fisher-Yates over a copy of indices,
-	// O(len(pool)) setup, O(k) draws.
-	idx := make([]int, len(pool))
-	for i := range idx {
-		idx[i] = i
+	return SampleInPlace(r, slices.Clone(pool), k)
+}
+
+// SampleInPlace draws min(k, len(s)) distinct elements of s exactly as
+// SampleIDs(r, s, k) would, but by permuting s itself: the sample is
+// returned as a prefix of s, so a caller that appended the pool to its
+// own buffer samples without allocating. k <= 0 draws nothing.
+func SampleInPlace(r *rand.Rand, s []ids.ProcessID, k int) []ids.ProcessID {
+	if k <= 0 || len(s) == 0 {
+		return s[:0]
+	}
+	if k >= len(s) {
+		Shuffle(r, s)
+		return s
+	}
+	// Partial Fisher-Yates: O(k) draws.
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(len(s)-i)
+		s[i], s[j] = s[j], s[i]
+	}
+	return s[:k]
+}
+
+// smallSample bounds the samples whose sparse bookkeeping lives in
+// fixed arrays scanned linearly (O(k²) compares, no allocation);
+// larger samples keep it in a map.
+const smallSample = 64
+
+// sampleSparse is SampleIDs for k much smaller than the pool: the same
+// partial Fisher-Yates, with the same draws and the same sample, run
+// virtually — only the displaced slots are recorded, O(k) time and
+// space instead of an O(len(pool)) copy. Building tables for
+// simulations with tens of thousands of processes calls this once per
+// process; a copy per call would make setup quadratic in the
+// population.
+func sampleSparse(r *rand.Rand, pool []ids.ProcessID, k int) []ids.ProcessID {
+	var d displaced
+	if k > smallSample {
+		d.big = make(map[int]int, k)
 	}
 	out := make([]ids.ProcessID, 0, k)
 	for i := 0; i < k; i++ {
-		j := i + r.Intn(len(idx)-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out = append(out, pool[idx[i]])
+		j := i + r.Intn(len(pool)-i)
+		vj, vi := d.get(j), d.get(i)
+		d.set(j, vi)
+		out = append(out, pool[vj])
 	}
 	return out
 }
 
+// displaced records the slots a virtual Fisher-Yates has overwritten:
+// slot → pool index, where an unrecorded slot holds its own index.
+// Each draw records at most one slot, so a sample of up to smallSample
+// fits the arrays; a larger one uses big.
+type displaced struct {
+	n           int
+	slots, idxs [smallSample]int
+	big         map[int]int
+}
+
+func (d *displaced) get(slot int) int {
+	if d.big != nil {
+		if idx, ok := d.big[slot]; ok {
+			return idx
+		}
+	} else if i := slices.Index(d.slots[:d.n], slot); i >= 0 {
+		return d.idxs[i]
+	}
+	return slot
+}
+
+func (d *displaced) set(slot, idx int) {
+	if d.big != nil {
+		d.big[slot] = idx
+		return
+	}
+	i := slices.Index(d.slots[:d.n], slot)
+	if i < 0 {
+		i = d.n
+		d.n++
+		d.slots[i] = slot
+	}
+	d.idxs[i] = idx
+}
+
 // SampleExcluding samples k distinct ids from pool, never returning
-// any id in exclude. Matches the paper's Fig. 7 loop that selects
-// targets from Table \ Ω.
-func SampleExcluding(r *rand.Rand, pool []ids.ProcessID, k int, exclude map[ids.ProcessID]struct{}) []ids.ProcessID {
+// any of the (distinct) ids in exclude. Matches the paper's Fig. 7
+// loop that selects targets from Table \ Ω.
+func SampleExcluding(r *rand.Rand, pool []ids.ProcessID, k int, exclude ...ids.ProcessID) []ids.ProcessID {
 	if k <= 0 || len(pool) == 0 {
 		return nil
 	}
@@ -141,20 +195,33 @@ func SampleExcluding(r *rand.Rand, pool []ids.ProcessID, k int, exclude map[ids.
 	}
 	if (k+len(exclude))*8 < len(pool) {
 		// Sparse: rejection-sample distinct indices, skipping excluded
-		// ids — O(k + |exclude|) expected, no O(len(pool)) copy. The
-		// attempt bound guards pools dominated by duplicates of
+		// ids — O(k + |exclude|) expected draws, no O(len(pool)) copy.
+		// The attempt bound guards pools dominated by duplicates of
 		// excluded ids; on exhaustion we fall through to the exact
-		// filtered path.
-		chosen := make(map[int]struct{}, k)
+		// filtered path. The drawn indices are a stack list for small
+		// samples (see smallSample), a map for large ones.
+		var arr [smallSample]int
+		chosen := arr[:0]
+		var big map[int]struct{}
+		if k+len(exclude) > smallSample {
+			big = make(map[int]struct{}, k)
+		}
 		out := make([]ids.ProcessID, 0, k)
 		maxAttempts := 8*(k+len(exclude)) + 32
 		for attempts := 0; len(out) < k && attempts < maxAttempts; attempts++ {
 			j := r.Intn(len(pool))
-			if _, dup := chosen[j]; dup {
-				continue
+			if big != nil {
+				if _, dup := big[j]; dup {
+					continue
+				}
+				big[j] = struct{}{}
+			} else {
+				if slices.Contains(chosen, j) {
+					continue
+				}
+				chosen = append(chosen, j)
 			}
-			chosen[j] = struct{}{}
-			if _, skip := exclude[pool[j]]; skip {
+			if slices.Contains(exclude, pool[j]) {
 				continue
 			}
 			out = append(out, pool[j])
@@ -165,11 +232,16 @@ func SampleExcluding(r *rand.Rand, pool []ids.ProcessID, k int, exclude map[ids.
 	}
 	filtered := make([]ids.ProcessID, 0, len(pool))
 	for _, p := range pool {
-		if _, skip := exclude[p]; !skip {
+		if !slices.Contains(exclude, p) {
 			filtered = append(filtered, p)
 		}
 	}
-	return SampleIDs(r, filtered, k)
+	if len(filtered) == 0 {
+		return nil
+	}
+	// filtered is ours: sample it in place (the same draws and sample
+	// as SampleIDs, without its copy).
+	return SampleInPlace(r, filtered, k)
 }
 
 // Shuffle permutes s in place.

@@ -3,6 +3,7 @@ package xrand
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,24 +102,20 @@ func TestSampleIDsDoesNotMutatePool(t *testing.T) {
 func TestSampleExcluding(t *testing.T) {
 	r := newRand()
 	p := pool(6)
-	excl := map[ids.ProcessID]struct{}{"a": {}, "b": {}}
+	excl := []ids.ProcessID{"a", "b"}
 	for i := 0; i < 100; i++ {
-		got := SampleExcluding(r, p, 4, excl)
+		got := SampleExcluding(r, p, 4, excl...)
 		if len(got) != 4 {
 			t.Fatalf("len = %d", len(got))
 		}
 		for _, id := range got {
-			if _, bad := excl[id]; bad {
+			if slices.Contains(excl, id) {
 				t.Fatalf("excluded id %s sampled", id)
 			}
 		}
 	}
 	// All excluded -> nil.
-	all := map[ids.ProcessID]struct{}{}
-	for _, id := range p {
-		all[id] = struct{}{}
-	}
-	if got := SampleExcluding(r, p, 2, all); got != nil {
+	if got := SampleExcluding(r, p, 2, p...); got != nil {
 		t.Errorf("sample from fully excluded pool = %v", got)
 	}
 }
